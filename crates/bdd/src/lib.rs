@@ -28,7 +28,8 @@
 //! * [`BddManager::serialized_size`] estimates the number of bytes required
 //!   to ship a BDD over the network, which is what the evaluation's
 //!   bandwidth accounting uses for value-based (BDD) provenance and for the
-//!   BDD query representation (Figures 6, 7, 15).
+//!   BDD query representation (Figures 6, 7, 15).  The count behind it is
+//!   cached on the root node, so re-sizing a shipped BDD is O(1).
 //!   [`BddManager::compressed_serialized_size`] is the varint-encoded
 //!   counterpart used by the opt-in compressed accounting mode (Figure 18).
 

@@ -26,8 +26,26 @@
 //! long-lived deployment no longer grows its memo without bound.  Interned
 //! nodes are permanent — repeating a workload allocates nothing new, which
 //! is what keeps long churn runs at steady-state memory.
+//!
+//! A node is 24 bytes: its variable, its two children, and in what would
+//! otherwise be padding the number of internal nodes reachable from it.
+//! That count is a pure function of the node's structure, and nodes are
+//! immutable and permanent, so it is computed by one reachable walk the
+//! first time a root is sized and [`BddManager::serialized_size`] is O(1)
+//! for that root afterwards.  `0` marks "not yet computed" (every internal
+//! node reaches at least itself); the count takes no part in the id
+//! collision check.
+//!
+//! # Hashing
+//!
+//! The node table is keyed by content ids that are already splitmix-mixed,
+//! so it hashes an id to itself (`IdHasher`).  The apply and negation
+//! memos use [`exspan_types::fasthash::FastHasher`].  Neither map is
+//! iterated, so the hashers cannot change a handle, a count or an order.
 
-use std::collections::HashMap;
+use exspan_types::fasthash::FastHashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Identifier of a boolean variable.  In ExSPAN each variable stands for one
@@ -78,12 +96,40 @@ impl Bdd {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     var: VarId,
+    /// Internal nodes reachable from this one, itself included; `0` until
+    /// first computed (see the module docs).
+    size: u32,
     low: Bdd,
     high: Bdd,
 }
+
+/// Pass-through hasher for maps keyed by content ids: the id is already a
+/// full-avalanche mix of the node's shape, so it is its own hash.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys use this hasher; fold anything else in bytewise.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
@@ -137,9 +183,9 @@ fn varint_len(x: u64) -> usize {
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    nodes: HashMap<u64, Node>,
-    apply_memo: HashMap<(Op, Bdd, Bdd), Bdd>,
-    not_memo: HashMap<Bdd, Bdd>,
+    nodes: IdMap<Node>,
+    apply_memo: FastHashMap<(Op, Bdd, Bdd), Bdd>,
+    not_memo: FastHashMap<Bdd, Bdd>,
     hits: u64,
     misses: u64,
     clears: u64,
@@ -158,12 +204,22 @@ impl StoreInner {
             return low;
         }
         let id = node_id(var, low.0, high.0);
-        let node = Node { var, low, high };
         if let Some(existing) = self.nodes.get(&id) {
-            assert_eq!(*existing, node, "content-keyed BDD node id collision");
+            assert!(
+                (existing.var, existing.low, existing.high) == (var, low, high),
+                "content-keyed BDD node id collision"
+            );
             return Bdd(id);
         }
-        self.nodes.insert(id, node);
+        self.nodes.insert(
+            id,
+            Node {
+                var,
+                size: 0,
+                low,
+                high,
+            },
+        );
         Bdd(id)
     }
 
@@ -276,20 +332,35 @@ impl StoreInner {
         self.mk_node(n.var, low, high)
     }
 
-    fn reachable_internal_count(&self, b: Bdd) -> usize {
-        let mut visited = std::collections::HashSet::new();
-        let mut count = 0usize;
+    /// Internal nodes reachable from `b`: read from the node after the
+    /// first call for `b`, computed by one walk before that.
+    fn reachable_internal_count(&mut self, b: Bdd) -> usize {
+        if b.is_terminal() {
+            return 0;
+        }
+        let cached = self.node(b).size;
+        if cached != 0 {
+            return cached as usize;
+        }
+        let count = self.walk_internal_count(b);
+        if let (Ok(size), Some(node)) = (u32::try_from(count), self.nodes.get_mut(&b.0)) {
+            node.size = size;
+        }
+        count
+    }
+
+    fn walk_internal_count(&self, b: Bdd) -> usize {
+        let mut visited = IdSet::default();
         let mut stack = vec![b];
         while let Some(cur) = stack.pop() {
-            if cur.is_terminal() || !visited.insert(cur) {
+            if cur.is_terminal() || !visited.insert(cur.0) {
                 continue;
             }
-            count += 1;
             let n = self.node(cur);
             stack.push(n.low);
             stack.push(n.high);
         }
-        count
+        visited.len()
     }
 
     /// Varint-serialized size: nodes are numbered 0..n in a deterministic
@@ -297,14 +368,14 @@ impl StoreInner {
     /// for terminals, local index + 2 otherwise), each node costs
     /// `varint(var) + varint(low ref) + varint(high ref)`, and the root
     /// reference closes the encoding.
-    fn compressed_size_walk(&self, b: Bdd, local: &mut HashMap<u64, u64>, size: &mut usize) {
+    fn compressed_size_walk(&self, b: Bdd, local: &mut IdMap<u64>, size: &mut usize) {
         if b.is_terminal() || local.contains_key(&b.0) {
             return;
         }
         let n = self.node(b);
         self.compressed_size_walk(n.low, local, size);
         self.compressed_size_walk(n.high, local, size);
-        let child_ref = |x: Bdd, local: &HashMap<u64, u64>| {
+        let child_ref = |x: Bdd, local: &IdMap<u64>| {
             if x.is_terminal() {
                 x.0
             } else {
@@ -321,7 +392,7 @@ impl StoreInner {
         if b.is_terminal() {
             return varint_len(b.0);
         }
-        let mut local = HashMap::new();
+        let mut local = IdMap::default();
         let mut size = 0usize;
         self.compressed_size_walk(b, &mut local, &mut size);
         size + varint_len(local[&b.0] + 2)
@@ -563,7 +634,8 @@ impl BddManager {
         visited.len()
     }
 
-    /// Number of non-terminal nodes reachable from `b`.
+    /// Number of non-terminal nodes reachable from `b` (cached on the root
+    /// node after the first call).
     pub fn reachable_internal_count(&self, b: Bdd) -> usize {
         self.store.lock().reachable_internal_count(b)
     }
@@ -572,7 +644,8 @@ impl BddManager {
     /// each non-terminal node serializes its variable id and two child
     /// references (4 + 4 + 4 bytes), plus a 4-byte root reference.  This is
     /// the flat model every existing figure is built on; it depends only on
-    /// the reachable structure, never on node ids.
+    /// the reachable structure, never on node ids.  O(1) after the first
+    /// call for a root: the count is cached on the root node.
     pub fn serialized_size(&self, b: Bdd) -> usize {
         4 + self.store.lock().reachable_internal_count(b) * 12
     }
@@ -587,44 +660,59 @@ impl BddManager {
         self.store.lock().compressed_serialized_size(b)
     }
 
-    /// Counts satisfying assignments over the given number of variables.
-    pub fn sat_count(&self, b: Bdd, num_vars: u32) -> u64 {
+    /// Counts satisfying assignments over variables `0..num_vars`.
+    ///
+    /// `None` if the count does not fit in a `u64` (provenance BDDs range
+    /// over thousands of base tuples, so `num_vars ≥ 64` is routine) or if
+    /// `b` depends on a variable `≥ num_vars`.
+    pub fn sat_count(&self, b: Bdd, num_vars: u32) -> Option<u64> {
+        /// `x · 2^shift`, or `None` if a set bit would be shifted out.
+        fn scaled(x: u64, shift: u32) -> Option<u64> {
+            if x == 0 {
+                Some(0)
+            } else if shift < 64 && x.leading_zeros() >= shift {
+                Some(x << shift)
+            } else {
+                None
+            }
+        }
         fn go(
             inner: &StoreInner,
             b: Bdd,
             num_vars: u32,
             memo: &mut HashMap<Bdd, u64>,
-        ) -> (u64, u32) {
+        ) -> Option<(u64, u32)> {
             // Returns (count below this node assuming node's var is the next
             // unassigned one, var index of this node or num_vars for terminals).
             if b == Bdd::FALSE {
-                return (0, num_vars);
+                return Some((0, num_vars));
             }
             if b == Bdd::TRUE {
-                return (1, num_vars);
+                return Some((1, num_vars));
             }
             let n = inner.node(b);
             if let Some(&c) = memo.get(&b) {
-                return (c, n.var);
+                return Some((c, n.var));
             }
-            let (cl, vl) = go(inner, n.low, num_vars, memo);
-            let (ch, vh) = go(inner, n.high, num_vars, memo);
-            let low = cl << (vl - n.var - 1);
-            let high = ch << (vh - n.var - 1);
-            let total = low + high;
+            let (cl, vl) = go(inner, n.low, num_vars, memo)?;
+            let (ch, vh) = go(inner, n.high, num_vars, memo)?;
+            let low = scaled(cl, vl.checked_sub(n.var + 1)?)?;
+            let high = scaled(ch, vh.checked_sub(n.var + 1)?)?;
+            let total = low.checked_add(high)?;
             memo.insert(b, total);
-            (total, n.var)
+            Some((total, n.var))
         }
         let inner = self.store.lock();
         let mut memo = HashMap::new();
-        let (c, v) = go(&inner, b, num_vars, &mut memo);
-        c << v
+        let (c, v) = go(&inner, b, num_vars, &mut memo)?;
+        scaled(c, v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A manager over an isolated store, for tests that assert allocation
     /// or memo behavior (the global store is shared with parallel tests).
@@ -758,11 +846,35 @@ mod tests {
         let b = m.var(1);
         let or = m.or(a, b);
         let and = m.and(a, b);
-        assert_eq!(m.sat_count(or, 2), 3);
-        assert_eq!(m.sat_count(and, 2), 1);
-        assert_eq!(m.sat_count(Bdd::TRUE, 2), 4);
-        assert_eq!(m.sat_count(Bdd::FALSE, 2), 0);
-        assert_eq!(m.sat_count(a, 3), 4);
+        assert_eq!(m.sat_count(or, 2), Some(3));
+        assert_eq!(m.sat_count(and, 2), Some(1));
+        assert_eq!(m.sat_count(Bdd::TRUE, 2), Some(4));
+        assert_eq!(m.sat_count(Bdd::FALSE, 2), Some(0));
+        assert_eq!(m.sat_count(a, 3), Some(4));
+        // A variable outside the counted range has no defined count.
+        assert_eq!(m.sat_count(a, 0), None);
+    }
+
+    #[test]
+    fn sat_count_over_seventy_variables_reports_overflow() {
+        let mut m = BddManager::new();
+        let vars: Vec<Bdd> = (0..70).map(|i| m.var(i)).collect();
+        let all = m.and_all(vars.iter().copied());
+        assert_eq!(m.sat_count(all, 70), Some(1));
+        // 2^63 still fits; 2^64 and beyond do not.
+        let first7 = m.and_all(vars[..7].iter().copied());
+        assert_eq!(m.sat_count(first7, 70), Some(1 << 63));
+        let first6 = m.and_all(vars[..6].iter().copied());
+        assert_eq!(m.sat_count(first6, 70), None);
+        assert_eq!(m.sat_count(vars[69], 70), None);
+        assert_eq!(m.sat_count(Bdd::TRUE, 70), None);
+        assert_eq!(m.sat_count(Bdd::FALSE, 70), Some(0));
+        // Skipped variables below a deep node scale the count: x0 ∧ x69
+        // leaves 68 free variables, 2^68 assignments.
+        let ends = m.and(vars[0], vars[69]);
+        assert_eq!(m.sat_count(ends, 70), None);
+        let tail = m.and_all(vars[8..70].iter().copied());
+        assert_eq!(m.sat_count(tail, 70), Some(1 << 8));
     }
 
     #[test]
@@ -838,6 +950,109 @@ mod tests {
         let b = m1.var(8);
         let ab = m2.and(a1, b);
         assert!(m1.evaluate(ab, |_| true));
+    }
+
+    /// One step of a random build: combine earlier functions (indices
+    /// taken modulo the functions built so far).
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        And(usize, usize),
+        Or(usize, usize),
+        Not(usize),
+        Restrict(usize, VarId, bool),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Step::And(a, b)),
+            (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Step::Or(a, b)),
+            any::<usize>().prop_map(Step::Not),
+            (any::<usize>(), 0..8u32, any::<bool>()).prop_map(|(a, v, x)| Step::Restrict(a, v, x)),
+        ]
+    }
+
+    /// Builds function `i` of the sequence (`0..8` are the variables, then
+    /// one per step) bottom-up, memoized in `built`.  `swap` flips the
+    /// operands of every commutative step, so a second store reaches the
+    /// same functions through different apply calls.
+    fn build(
+        m: &mut BddManager,
+        steps: &[Step],
+        i: usize,
+        swap: bool,
+        built: &mut HashMap<usize, Bdd>,
+    ) -> Bdd {
+        if let Some(&b) = built.get(&i) {
+            return b;
+        }
+        let b = if i < 8 {
+            m.var(i as VarId)
+        } else {
+            let arg = |x: usize| x % i;
+            match steps[i - 8] {
+                Step::And(x, y) | Step::Or(x, y) => {
+                    let (x, y) = if swap {
+                        (arg(y), arg(x))
+                    } else {
+                        (arg(x), arg(y))
+                    };
+                    let a = build(m, steps, x, swap, built);
+                    let c = build(m, steps, y, swap, built);
+                    if matches!(steps[i - 8], Step::And(..)) {
+                        m.and(a, c)
+                    } else {
+                        m.or(a, c)
+                    }
+                }
+                Step::Not(x) => {
+                    let a = build(m, steps, arg(x), swap, built);
+                    m.not(a)
+                }
+                Step::Restrict(x, v, val) => {
+                    let a = build(m, steps, arg(x), swap, built);
+                    m.restrict(a, v, val)
+                }
+            }
+        };
+        built.insert(i, b);
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The count cached on a root always equals a fresh reachable walk,
+        /// however the root was reached and however often it is sized; and
+        /// a second isolated store building the same functions in reverse
+        /// order with swapped operands yields identical handles and sizes.
+        #[test]
+        fn cached_sizes_match_an_uncached_walk_and_handles_match_across_orders(
+            steps in proptest::collection::vec(arb_step(), 1..40),
+        ) {
+            let mut m1 = isolated();
+            let n = 8 + steps.len();
+            let mut first = HashMap::new();
+            for i in 0..n {
+                let b = build(&mut m1, &steps, i, false, &mut first);
+                let walked = m1.store.lock().walk_internal_count(b);
+                prop_assert_eq!(m1.serialized_size(b), 4 + 12 * walked);
+                prop_assert_eq!(m1.reachable_internal_count(b), walked);
+            }
+            // Re-size every root once more: all now come from the cache.
+            for i in 0..n {
+                let b = first[&i];
+                let walked = m1.store.lock().walk_internal_count(b);
+                prop_assert_eq!(m1.serialized_size(b), 4 + 12 * walked);
+            }
+
+            let mut m2 = isolated();
+            let mut second = HashMap::new();
+            for i in (0..n).rev() {
+                let b = build(&mut m2, &steps, i, true, &mut second);
+                prop_assert_eq!(b, first[&i]);
+                prop_assert_eq!(m2.serialized_size(b), m1.serialized_size(b));
+            }
+        }
     }
 
     #[test]

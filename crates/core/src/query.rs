@@ -654,7 +654,11 @@ impl SessionCore {
         }
         let pending = self.pending_tuples.remove(&qid).expect("checked above");
         let ann = self.repr.p_idb(pending.node, &pending.results);
-        if self.caching_enabled {
+        // A tuple with no derivations (absent, e.g. deleted by churn) has
+        // no dependency edges, so no base-tuple delta would ever invalidate
+        // its empty result: caching it would keep answering "nothing" after
+        // the tuple is derived again.
+        if self.caching_enabled && !pending.results.is_empty() {
             self.cache
                 .insert((pending.node, CacheKey::Tuple(pending.vid)), ann.clone());
         }

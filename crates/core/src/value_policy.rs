@@ -22,9 +22,26 @@
 //! mode are answered locally ([`ValueBddPolicy::annotation_of`]) without any
 //! distributed traversal — the trade-off the paper explores: high maintenance
 //! bandwidth, zero query latency.
+//!
+//! # Keys
+//!
+//! Annotations live in one map per node keyed by `Arc<Tuple>`: the shared
+//! tuple the runtime hands to [`AnnotationPolicy::on_arrival`] and to
+//! [`AnnotationPolicy::on_derivation`], which is the allocation the node's
+//! table row holds, so an entry costs a pointer and the tuple is hashed with
+//! [`exspan_types::fasthash::FastHasher`] instead of being SHA-1'd into a
+//! VID on every event.  Lookups borrow a plain `&Tuple`.  Tuple equality and
+//! VID equality coincide (the VID hashes an injective encoding of the same
+//! fields), so keying by tuple changes no answer.
+//!
+//! VIDs are still computed where a base tuple gets its BDD variable — in
+//! [`AnnotationPolicy::on_base`], and for a rule input the policy has never
+//! seen — because the variable map is keyed by VID: trust assignments
+//! ([`ValueBddPolicy::derivable_under`]) speak about base tuples by VID.
 
 use exspan_bdd::{Bdd, BddManager};
 use exspan_runtime::{AnnotationPolicy, AnnotationToken};
+use exspan_types::fasthash::FastHashMap;
 use exspan_types::{NodeId, Tuple, Vid};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,10 +52,17 @@ pub struct ValueBddPolicy {
     manager: BddManager,
     /// Boolean variable assigned to each base tuple.
     vars: HashMap<Vid, u32>,
-    /// Provenance stored for each tuple at each node.
-    annotations: HashMap<(NodeId, Vid), Bdd>,
+    /// Provenance stored for each tuple at each node (see "Keys" above).
+    annotations: FastHashMap<NodeId, FastHashMap<Arc<Tuple>, Bdd>>,
     /// Bytes of annotation attached to messages so far.
     annotation_bytes_total: u64,
+}
+
+/// The BDD variable of the base tuple `vid`, assigned on first sight.
+fn var_for(vars: &mut HashMap<Vid, u32>, manager: &mut BddManager, vid: Vid) -> Bdd {
+    let next = vars.len() as u32;
+    let id = *vars.entry(vid).or_insert(next);
+    manager.var(id)
 }
 
 impl ValueBddPolicy {
@@ -47,17 +71,9 @@ impl ValueBddPolicy {
         Self::default()
     }
 
-    fn var_for(&mut self, vid: Vid) -> Bdd {
-        let next = self.vars.len() as u32;
-        let id = *self.vars.entry(vid).or_insert(next);
-        self.manager.var(id)
-    }
-
     /// The provenance BDD stored for a tuple at its own location, if any.
     pub fn annotation_of(&self, tuple: &Tuple) -> Option<Bdd> {
-        self.annotations
-            .get(&(tuple.location, tuple.vid()))
-            .copied()
+        self.annotations.get(&tuple.location)?.get(tuple).copied()
     }
 
     /// Serialized size (bytes) of a tuple's provenance annotation.
@@ -88,7 +104,7 @@ impl ValueBddPolicy {
 
     /// Number of `(node, tuple)` entries with a tracked provenance annotation.
     pub fn tracked_tuples(&self) -> usize {
-        self.annotations.len()
+        self.annotations.values().map(FastHashMap::len).sum()
     }
 
     /// The BDD manager (for inspection).
@@ -99,12 +115,17 @@ impl ValueBddPolicy {
 
 impl AnnotationPolicy for ValueBddPolicy {
     fn on_base(&mut self, node: NodeId, tuple: &Tuple, insert: bool) {
-        let vid = tuple.vid();
+        let stored = self.annotations.entry(node).or_default();
         if insert {
-            let var = self.var_for(vid);
-            self.annotations.insert((node, vid), var);
+            let var = var_for(&mut self.vars, &mut self.manager, tuple.vid());
+            match stored.get_mut(tuple) {
+                Some(b) => *b = var,
+                None => {
+                    stored.insert(Arc::new(tuple.clone()), var);
+                }
+            }
         } else {
-            self.annotations.remove(&(node, vid));
+            stored.remove(tuple);
         }
     }
 
@@ -124,15 +145,15 @@ impl AnnotationPolicy for ValueBddPolicy {
         // charged for) that derivation's history just like the insertion
         // that established it.
         let mut conj = Bdd::TRUE;
+        let stored = self.annotations.entry(node).or_default();
         for input in inputs {
-            let vid = input.vid();
-            let b = match self.annotations.get(&(node, vid)) {
+            let b = match stored.get(&**input) {
                 Some(b) => *b,
                 // Inputs we have never seen (e.g. base tuples seeded before
                 // the policy was installed) are treated as base variables.
                 None => {
-                    let var = self.var_for(vid);
-                    self.annotations.insert((node, vid), var);
+                    let var = var_for(&mut self.vars, &mut self.manager, input.vid());
+                    stored.insert(Arc::clone(input), var);
                     var
                 }
             };
@@ -172,28 +193,31 @@ impl AnnotationPolicy for ValueBddPolicy {
     fn on_arrival(
         &mut self,
         node: NodeId,
-        tuple: &Tuple,
+        tuple: &Arc<Tuple>,
         token: Option<AnnotationToken>,
         insert: bool,
         removed: bool,
     ) {
-        let vid = tuple.vid();
         if insert {
             // OR the shipped derivation history into the annotation stored
             // for this tuple at this node (alternative derivations).
             if let Some(t) = token {
                 let shipped = Bdd::from_raw(t);
-                let combined = match self.annotations.get(&(node, vid)) {
-                    Some(existing) => self.manager.or(*existing, shipped),
-                    None => shipped,
-                };
-                self.annotations.insert((node, vid), combined);
+                let stored = self.annotations.entry(node).or_default();
+                match stored.get_mut(&**tuple) {
+                    Some(existing) => *existing = self.manager.or(*existing, shipped),
+                    None => {
+                        stored.insert(Arc::clone(tuple), shipped);
+                    }
+                }
             }
         } else if removed {
             // Last derivation gone: the stale history must not keep
             // contributing bytes.  Tuples that stay visible through other
             // derivations keep their annotation.
-            self.annotations.remove(&(node, vid));
+            if let Some(stored) = self.annotations.get_mut(&node) {
+                stored.remove(&**tuple);
+            }
         }
     }
 }
@@ -211,8 +235,12 @@ mod tests {
         [Arc::new(t.clone())]
     }
 
-    fn path_cost(s: NodeId, d: NodeId, c: i64) -> Tuple {
-        Tuple::new("pathCost", s, vec![Value::Node(d), Value::Int(c)])
+    fn path_cost(s: NodeId, d: NodeId, c: i64) -> Arc<Tuple> {
+        Arc::new(Tuple::new(
+            "pathCost",
+            s,
+            vec![Value::Node(d), Value::Int(c)],
+        ))
     }
 
     #[test]

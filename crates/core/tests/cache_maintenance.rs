@@ -244,3 +244,76 @@ fn insertions_fall_back_to_invalidation() {
         "query after insertion produced no annotation"
     );
 }
+
+/// Submits a cached polynomial query for `t` under `maintenance`, runs it to
+/// completion and returns its canonical monomial set.
+fn cached_answer(
+    d: &mut Deployment,
+    t: &Tuple,
+    maintenance: CacheMaintenance,
+) -> BTreeSet<Vec<Vid>> {
+    let h = d
+        .query(t)
+        .repr(Repr::Polynomial)
+        .cached(true)
+        .maintenance(maintenance)
+        .submit();
+    d.run_to_fixpoint();
+    d.outcome(h)
+        .and_then(|o| o.annotation.as_ref())
+        .and_then(|a| a.as_expr())
+        .map(monomials)
+        .expect("query completed with a polynomial")
+}
+
+#[test]
+fn a_target_deleted_then_rederived_is_not_answered_from_a_stale_empty_entry() {
+    // Querying a tuple churn has deleted yields an empty answer.  That
+    // answer depends on no base tuple, so nothing would ever invalidate it
+    // if it were cached: once the tuple is derived again the session must
+    // not keep serving "no derivations".
+    for maintenance in [CacheMaintenance::Invalidate, CacheMaintenance::Incremental] {
+        for shards in [1, 4] {
+            let mut d = deploy(shards);
+            d.run_to_fixpoint();
+            let target = d
+                .tuples_everywhere_shared("bestPathCost")
+                .iter()
+                .find(|t| t.location == 2 && t.values[0] == exspan_types::Value::Node(3))
+                .map(|t| (**t).clone())
+                .expect("bestPathCost(@2, 3, _) after convergence");
+            let label = format!("{maintenance:?} at {shards} shard(s)");
+            assert!(
+                !cached_answer(&mut d, &target, maintenance).is_empty(),
+                "{label}: converged target has no derivations"
+            );
+
+            let props = *d.engine().topology().link(2, 3).expect("ring link 2-3");
+            d.remove_link(2, 3);
+            d.run_to_fixpoint();
+            assert!(
+                !d.tuples_everywhere_shared("bestPathCost")
+                    .iter()
+                    .any(|t| **t == target),
+                "{label}: deleting the direct link must retract {target}"
+            );
+            assert!(
+                cached_answer(&mut d, &target, maintenance).is_empty(),
+                "{label}: a deleted target has no derivations"
+            );
+
+            d.add_link(2, 3, props);
+            d.run_to_fixpoint();
+            assert!(
+                d.tuples_everywhere_shared("bestPathCost")
+                    .iter()
+                    .any(|t| **t == target),
+                "{label}: restoring the link must re-derive {target}"
+            );
+            assert!(
+                !cached_answer(&mut d, &target, maintenance).is_empty(),
+                "{label}: the re-derived target was answered from a stale empty entry"
+            );
+        }
+    }
+}

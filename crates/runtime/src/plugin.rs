@@ -12,7 +12,9 @@
 //! distribution model: [`AnnotationPolicy::on_derivation`] returns an opaque
 //! [`AnnotationToken`] that the engine ships inside the delta message, and
 //! [`AnnotationPolicy::on_arrival`] merges it into the policy's state for the
-//! *receiving* node when the delta is applied there.  Keeping annotation
+//! *receiving* node when the delta is applied there, handed the delta's
+//! shared `Arc<Tuple>` so per-tuple state can be keyed by the tuple the
+//! table row holds rather than by a recomputed VID.  Keeping annotation
 //! state per `(node, tuple)` — rather than in one global map mutated in
 //! arbitrary firing order — is what makes value-based provenance
 //! deterministic under the sharded runtime: every update to a node's
@@ -125,10 +127,15 @@ pub trait AnnotationPolicy: Send {
     /// node's visible state (its last derivation disappeared), so policies
     /// can keep annotations of tuples that remain visible through other
     /// derivations.
+    ///
+    /// `tuple` is the delta's shared tuple — for an insertion, the same
+    /// allocation the node's table row holds — so a policy can key its
+    /// state by the tuple itself (clone the `Arc`) instead of hashing it
+    /// into a VID.
     fn on_arrival(
         &mut self,
         node: NodeId,
-        tuple: &Tuple,
+        tuple: &Arc<Tuple>,
         token: Option<AnnotationToken>,
         insert: bool,
         removed: bool,

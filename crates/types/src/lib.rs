@@ -25,8 +25,11 @@
 //!   accounting mode and the serve protocol's compressed result bodies:
 //!   first occurrence of a string/VID in a message is sent inline and
 //!   assigned a varint id, repeats cost the id alone.
+//! * [`fasthash`] — a small multiplicative [`std::hash::Hasher`] for
+//!   in-memory maps on hot paths whose keys are not attacker-chosen.
 
 pub mod compress;
+pub mod fasthash;
 pub mod sha1;
 pub mod symbol;
 pub mod tuple;

@@ -96,12 +96,11 @@ impl Sha1 {
             }
         }
         // Process whole blocks directly from the input.
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.process_block(&block);
-            input = &input[64..];
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            self.process_block(block.try_into().expect("64-byte block"));
         }
+        input = blocks.remainder();
         // Stash the remainder.
         if !input.is_empty() {
             self.buffer[..input.len()].copy_from_slice(input);
@@ -112,16 +111,16 @@ impl Sha1 {
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append the 0x80 terminator then zero-pad to 56 mod 64.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        // The length update above must not count toward the message length;
-        // total_len is no longer read, so this is fine.
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.process_block(&block);
+        // The 0x80 terminator and zero padding up to 56 mod 64 in one
+        // update, then the message length closes the last block.
+        let pad = if self.buffer_len < 56 {
+            56 - self.buffer_len
+        } else {
+            120 - self.buffer_len
+        };
+        self.update(&PADDING[..pad]);
+        self.update(&bit_len.to_be_bytes());
+        debug_assert_eq!(self.buffer_len, 0);
 
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
@@ -139,33 +138,50 @@ impl Sha1 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
+        // Four 20-round phases, each with its own boolean function and
+        // round constant.
+        let mut s = self.state;
+        for &wi in &w[..20] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, (b & c) | (!b & d), 0x5A82_7999, wi);
         }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for &wi in &w[20..40] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, b ^ c ^ d, 0x6ED9_EBA1, wi);
+        }
+        for &wi in &w[40..60] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, (b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wi);
+        }
+        for &wi in &w[60..] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, b ^ c ^ d, 0xCA62_C1D6, wi);
+        }
+        for (h, v) in self.state.iter_mut().zip(s) {
+            *h = h.wrapping_add(v);
+        }
     }
+}
+
+/// The terminator byte followed by zeros: the longest padding is a whole
+/// block, when 56 bytes are already buffered.
+const PADDING: [u8; 64] = {
+    let mut p = [0u8; 64];
+    p[0] = 0x80;
+    p
+};
+
+/// One SHA-1 round over the working state `[a, b, c, d, e]`.
+#[inline(always)]
+fn round(s: &mut [u32; 5], f: u32, k: u32, wi: u32) {
+    let [a, b, c, d, e] = *s;
+    let temp = a
+        .rotate_left(5)
+        .wrapping_add(f)
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(wi);
+    *s = [temp, a, b.rotate_left(30), c, d];
 }
 
 /// One-shot convenience wrapper: hashes `data` and returns the digest.
@@ -178,6 +194,7 @@ pub fn sha1_digest(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // Standard FIPS-180 test vectors.
     #[test]
@@ -232,6 +249,88 @@ mod tests {
         assert_eq!(d.to_string(), d.to_hex());
         assert_eq!(d.short().len(), 8);
         assert!(format!("{d:?}").contains(&d.short()));
+    }
+
+    /// Test oracle: the straightforward formulation — pad one byte at a
+    /// time, then run 80 rounds choosing the function and constant per
+    /// round.
+    fn reference_digest(data: &[u8]) -> [u8; 20] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+        let mut state: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+        for block in msg.chunks_exact(64) {
+            let mut w = [0u32; 80];
+            for (i, chunk) in block.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            }
+            for i in 16..80 {
+                w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e] = state;
+            for (i, &wi) in w.iter().enumerate() {
+                let (f, k) = match i {
+                    0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
+                    20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+                    40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+                    _ => (b ^ c ^ d, 0xCA62C1D6),
+                };
+                let temp = a
+                    .rotate_left(5)
+                    .wrapping_add(f)
+                    .wrapping_add(e)
+                    .wrapping_add(k)
+                    .wrapping_add(wi);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = temp;
+            }
+            for (h, v) in state.iter_mut().zip([a, b, c, d, e]) {
+                *h = h.wrapping_add(v);
+            }
+        }
+        let mut out = [0u8; 20];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn every_length_across_the_padding_boundaries_matches_the_oracle() {
+        // 55/56 and 63/64 bytes are where the padding spills into a second
+        // block; 0..=130 covers them for one, two and three blocks.
+        for len in 0..=130usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            assert_eq!(
+                sha1_digest(&data).0,
+                reference_digest(&data),
+                "length {len}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random contents of every length up to 130 bytes, fed in two
+        /// pieces split at a random point, digest as the oracle does.
+        #[test]
+        fn random_inputs_match_the_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..131),
+            split in any::<usize>(),
+        ) {
+            let cut = if data.is_empty() { 0 } else { split % (data.len() + 1) };
+            let mut h = Sha1::new();
+            h.update(&data[..cut]);
+            h.update(&data[cut..]);
+            prop_assert_eq!(h.finalize().0, reference_digest(&data));
+        }
     }
 
     #[test]
