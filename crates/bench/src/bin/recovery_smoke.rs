@@ -13,7 +13,8 @@
 //! checks the recovered state digest against the per-batch oracle digests,
 //! replays the remaining churn batches, and requires the final digest to
 //! equal the uninterrupted run's.  Scenarios cover clean kills, torn WAL
-//! tails, trailing garbage, snapshot-heavy stores, cold-table spill, and
+//! tails, trailing garbage, snapshot-heavy stores, cold-table spill, the
+//! default snapshot cadence (snapshot plus a replayed log tail), and
 //! recovery with a different shard count than the writer.
 //!
 //! Exit code 0 means every scenario recovered byte-identically.
@@ -81,8 +82,9 @@ struct Scenario {
     writer_shards: usize,
     /// Shard count used for recovery (byte-identity must hold across both).
     recover_shards: usize,
-    /// Snapshot cadence handed to the writer (`u64::MAX` = WAL-only).
-    snapshot_bytes: u64,
+    /// Snapshot cadence handed to the writer (`u64::MAX` = WAL-only, `None`
+    /// = the default cadence, which follows the snapshot size).
+    snapshot_bytes: Option<u64>,
     /// Cold-table spill budget for both writer and recoverer.
     budget_rows: Option<usize>,
     /// How to damage the store after the kill.
@@ -107,7 +109,7 @@ fn scenarios() -> Vec<Scenario> {
             name: "clean kill, WAL-only, 1 shard",
             writer_shards: 1,
             recover_shards: 1,
-            snapshot_bytes: u64::MAX,
+            snapshot_bytes: Some(u64::MAX),
             budget_rows: None,
             damage: Damage::None,
             expect_batch: CRASH_AFTER,
@@ -116,7 +118,7 @@ fn scenarios() -> Vec<Scenario> {
             name: "trailing garbage, WAL-only, 4 shards",
             writer_shards: 4,
             recover_shards: 4,
-            snapshot_bytes: u64::MAX,
+            snapshot_bytes: Some(u64::MAX),
             budget_rows: None,
             damage: Damage::AppendGarbage,
             expect_batch: CRASH_AFTER,
@@ -125,7 +127,7 @@ fn scenarios() -> Vec<Scenario> {
             name: "torn tail, recovered with a different shard count",
             writer_shards: 1,
             recover_shards: 4,
-            snapshot_bytes: u64::MAX,
+            snapshot_bytes: Some(u64::MAX),
             budget_rows: None,
             damage: Damage::ChopTail(4),
             expect_batch: CRASH_AFTER - 1,
@@ -134,9 +136,21 @@ fn scenarios() -> Vec<Scenario> {
             name: "snapshot-per-barrier with cold-table spill",
             writer_shards: 4,
             recover_shards: 1,
-            snapshot_bytes: 1,
+            snapshot_bytes: Some(1),
             budget_rows: Some(64),
             damage: Damage::AppendGarbage,
+            expect_batch: CRASH_AFTER,
+        },
+        // The default cadence follows the snapshot size: on this ring a
+        // churn batch, not the fixpoint, triggers the last snapshot, and the
+        // batches after it stay in the log (checked in `run_scenario`).
+        Scenario {
+            name: "default cadence, snapshot plus WAL tail",
+            writer_shards: 1,
+            recover_shards: 1,
+            snapshot_bytes: None,
+            budget_rows: None,
+            damage: Damage::None,
             expect_batch: CRASH_AFTER,
         },
     ]
@@ -144,10 +158,11 @@ fn scenarios() -> Vec<Scenario> {
 
 /// Child phase: run the workload persistently and die mid-run without any
 /// shutdown path (no checkpoint, no flush beyond the per-barrier commits).
-fn crash_phase(dir: &Path, shards: usize, snapshot_bytes: u64, budget: Option<usize>) -> ! {
-    let mut b = builder(shards)
-        .data_dir(dir)
-        .snapshot_every_bytes(snapshot_bytes);
+fn crash_phase(dir: &Path, shards: usize, snapshot_bytes: Option<u64>, budget: Option<usize>) -> ! {
+    let mut b = builder(shards).data_dir(dir);
+    if let Some(bytes) = snapshot_bytes {
+        b = b.snapshot_every_bytes(bytes);
+    }
     if let Some(rows) = budget {
         b = b.memory_budget_rows(rows);
     }
@@ -172,9 +187,10 @@ fn run_scenario(s: &Scenario, oracle: &[String], scratch_root: &Path) -> Result<
         .arg("--dir")
         .arg(&dir)
         .arg("--shards")
-        .arg(s.writer_shards.to_string())
-        .arg("--snapshot-bytes")
-        .arg(s.snapshot_bytes.to_string());
+        .arg(s.writer_shards.to_string());
+    if let Some(bytes) = s.snapshot_bytes {
+        cmd.arg("--snapshot-bytes").arg(bytes.to_string());
+    }
     if let Some(rows) = s.budget_rows {
         cmd.arg("--budget-rows").arg(rows.to_string());
     }
@@ -219,6 +235,17 @@ fn run_scenario(s: &Scenario, oracle: &[String], scratch_root: &Path) -> Result<
     if !d.recovered_from_store() {
         return Err("deployment did not recover from the store".into());
     }
+    if s.snapshot_bytes.is_none() {
+        // The fixpoint and each churn batch commit one batch apiece; fewer
+        // than `CRASH_AFTER` replayed means a snapshot covers churn batches.
+        let replayed = d.storage_stats().recovered_batches;
+        if !dir.join("snapshot.bin").exists() || !(1..CRASH_AFTER as u64).contains(&replayed) {
+            return Err(format!(
+                "expected a post-fixpoint snapshot and a WAL tail, \
+                 but recovery replayed {replayed} batches"
+            ));
+        }
+    }
     let recovered = d.state_digest();
     if recovered != oracle[s.expect_batch] {
         return Err(format!(
@@ -245,7 +272,7 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("--phase") {
         let mut dir = PathBuf::new();
         let mut shards = 1usize;
-        let mut snapshot_bytes = u64::MAX;
+        let mut snapshot_bytes = None;
         let mut budget = None;
         let mut i = 2;
         while i + 1 < args.len() + 1 {
@@ -253,7 +280,7 @@ fn main() -> ExitCode {
                 Some("--dir") => dir = PathBuf::from(&args[i + 1]),
                 Some("--shards") => shards = args[i + 1].parse().expect("--shards"),
                 Some("--snapshot-bytes") => {
-                    snapshot_bytes = args[i + 1].parse().expect("--snapshot-bytes");
+                    snapshot_bytes = Some(args[i + 1].parse().expect("--snapshot-bytes"));
                 }
                 Some("--budget-rows") => budget = Some(args[i + 1].parse().expect("--budget-rows")),
                 _ => break,

@@ -187,7 +187,7 @@ pub struct DeploymentBuilder {
     seed_links: bool,
     data_dir: Option<PathBuf>,
     durability: Durability,
-    snapshot_every_bytes: u64,
+    snapshot_every_bytes: Option<u64>,
     memory_budget_rows: Option<usize>,
     track_compressed: bool,
 }
@@ -271,8 +271,15 @@ impl DeploymentBuilder {
 
     /// How many WAL bytes may accumulate before a snapshot is taken and the
     /// log truncated (only meaningful with [`DeploymentBuilder::data_dir`]).
+    ///
+    /// Unset, the threshold follows the state: a snapshot is due once the
+    /// log written since the last one reaches `max(256 KiB, size of the
+    /// last snapshot)`, so snapshots cost about as many bytes as the log
+    /// and recovery replays at most one snapshot's worth of log plus one
+    /// barrier batch.  `1` snapshots at every barrier; `u64::MAX` keeps
+    /// only the log (until [`Deployment::checkpoint`]).
     pub fn snapshot_every_bytes(mut self, bytes: u64) -> Self {
-        self.snapshot_every_bytes = bytes;
+        self.snapshot_every_bytes = Some(bytes);
         self
     }
 
@@ -396,36 +403,39 @@ impl DeploymentBuilder {
                 snapshot_wal_bytes: self.snapshot_every_bytes,
                 spill_budget_rows: self.memory_budget_rows,
             };
-            let (backend, state) = DiskBackend::open(dir, store_config)
-                .map_err(|e| BuildError::Storage(e.to_string()))?;
+            let storage = |e: exspan_store::StoreError| BuildError::Storage(e.to_string());
+            let mut recovery = DiskBackend::open(dir, store_config).map_err(storage)?;
+            // Restore the snapshot and drop it before streaming the log, so
+            // the snapshot, the log and the engine's tables are never all in
+            // memory at once.
+            if let Some(snap) = recovery.take_snapshot() {
+                let nodes = engine.topology().num_nodes() as u32;
+                if snap.node_count != nodes {
+                    return Err(BuildError::Storage(format!(
+                        "store at {} was written for a {}-node topology, \
+                         but the configured topology has {nodes} nodes",
+                        dir.display(),
+                        snap.node_count
+                    )));
+                }
+                engine.restore_links(&snap.links);
+                for dump in snap.tables {
+                    for (tuple, count) in dump.rows {
+                        engine.restore_table_row(dump.node, tuple, count);
+                    }
+                }
+                for entry in &snap.agg {
+                    engine.restore_agg(entry);
+                }
+            }
+            while let Some(batch) = recovery.next_batch().map_err(storage)? {
+                for op in &batch.ops {
+                    engine.apply_wal_op(op);
+                }
+            }
+            let (backend, watermark) = recovery.finish().map_err(storage)?;
             let mut start_seq = 0;
-            if let Some(state) = state {
-                if let Some(snap) = &state.snapshot {
-                    let nodes = engine.topology().num_nodes() as u32;
-                    if snap.node_count != nodes {
-                        return Err(BuildError::Storage(format!(
-                            "store at {} was written for a {}-node topology, \
-                             but the configured topology has {nodes} nodes",
-                            dir.display(),
-                            snap.node_count
-                        )));
-                    }
-                    engine.restore_links(&snap.links);
-                    for dump in &snap.tables {
-                        for (tuple, count) in &dump.rows {
-                            engine.restore_table_row(dump.node, Arc::clone(tuple), *count);
-                        }
-                    }
-                    for entry in &snap.agg {
-                        engine.restore_agg(entry);
-                    }
-                }
-                for batch in &state.batches {
-                    for op in &batch.ops {
-                        engine.apply_wal_op(op);
-                    }
-                }
-                let (seq, time_bits) = state.watermark();
+            if let Some((seq, time_bits)) = watermark {
                 start_seq = seq;
                 engine.restore_clock(f64::from_bits(time_bits));
                 recovered = true;

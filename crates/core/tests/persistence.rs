@@ -262,3 +262,63 @@ fn in_memory_default_reports_zero_storage_activity() {
     assert_eq!(stats.snapshots_written, 0);
     assert_eq!(stats.tables_spilled, 0);
 }
+
+/// A store written by the code before streaming recovery and the size-
+/// proportional snapshot cadence: the `mincost_ring6` workload below with
+/// `snapshot_every_bytes(u64::MAX)`, i.e. a checkpoint snapshot at the
+/// fixpoint followed by two churn batches in the log.
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../store/tests/fixtures/mincost-ring6"
+);
+
+/// The state digest of the fixture's workload, as that code computed it.
+const FIXTURE_DIGEST: &str = "26123f3cce55210144c4e5d231f73b11319ebabd";
+
+fn ring6() -> exspan_core::DeploymentBuilder {
+    Exspan::builder()
+        .program(programs::mincost())
+        .topology(Topology::testbed_ring(6, 7))
+        .mode(ProvenanceMode::Reference)
+}
+
+#[test]
+fn a_store_from_the_previous_format_writer_recovers_to_its_digest() {
+    let scratch = Scratch::new("fixture");
+    for file in ["snapshot.bin", "wal.log"] {
+        std::fs::copy(format!("{FIXTURE}/{file}"), scratch.path().join(file)).unwrap();
+    }
+    for shards in [1, 4] {
+        let d = ring6()
+            .shards(shards)
+            .data_dir(scratch.path())
+            .build()
+            .unwrap();
+        assert!(d.recovered_from_store());
+        assert_eq!(d.storage_stats().recovered_batches, 2);
+        assert_eq!(d.state_digest(), FIXTURE_DIGEST, "{shards} shards");
+    }
+}
+
+#[test]
+fn the_same_workload_writes_the_fixture_bytes() {
+    let scratch = Scratch::new("fixture-bytes");
+    let mut d = ring6()
+        .data_dir(scratch.path())
+        .snapshot_every_bytes(u64::MAX)
+        .build()
+        .unwrap();
+    d.run_to_fixpoint();
+    d.checkpoint();
+    d.remove_link(0, 1);
+    d.run_to_fixpoint();
+    d.add_link(0, 3, LinkProps::from_class(LinkClass::StubStub));
+    d.run_to_fixpoint();
+    assert_eq!(d.state_digest(), FIXTURE_DIGEST);
+    drop(d);
+    for file in ["snapshot.bin", "wal.log"] {
+        let expected = std::fs::read(format!("{FIXTURE}/{file}")).unwrap();
+        let written = std::fs::read(scratch.path().join(file)).unwrap();
+        assert!(written == expected, "{file} differs from the fixture");
+    }
+}

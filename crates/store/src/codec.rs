@@ -153,7 +153,7 @@ pub fn encode_tuple(t: &Tuple, out: &mut Vec<u8>) {
 
 /// Decodes one [`Tuple`], re-interning its relation.
 pub fn decode_tuple(r: &mut Reader<'_>) -> Result<Tuple, CodecError> {
-    let relation = r.string()?.to_string();
+    let relation = r.string()?;
     let location = r.u32()?;
     let count = r.u32()? as usize;
     if count > r.remaining() {
@@ -163,7 +163,7 @@ pub fn decode_tuple(r: &mut Reader<'_>) -> Result<Tuple, CodecError> {
     for _ in 0..count {
         values.push(decode_value(r)?);
     }
-    Ok(Tuple::new(relation.as_str(), location, values))
+    Ok(Tuple::new(relation, location, values))
 }
 
 #[cfg(test)]

@@ -12,14 +12,19 @@
 //!    commit record.  The [`Durability`] knob controls fsync cadence:
 //!    `None` (OS decides), `Barrier` (default: one fsync per committed
 //!    window), or `Always` (per record).
-//! 2. **Canonical snapshots** ([`snapshot`]).  Once enough log accumulates
-//!    (`StoreConfig::snapshot_wal_bytes`), the engine hands the backend a
-//!    full dump — tables in `(node, relation)` order with rows in `scan()`
-//!    order, the link set, and the aggregate-provenance map, all sorted
-//!    canonically — so snapshot bytes are a pure function of logical state:
-//!    a 1-shard and a 4-shard run of the same workload write *identical*
-//!    files.  Snapshots are written to a temp file and atomically renamed;
-//!    the WAL is truncated only after the rename.
+//! 2. **Canonical snapshots** ([`snapshot`]).  Once enough log accumulates,
+//!    the engine hands the backend a full dump — tables in `(node,
+//!    relation)` order with rows in `scan()` order, the link set, and the
+//!    aggregate-provenance map, all sorted canonically — so snapshot bytes
+//!    are a pure function of logical state: a 1-shard and a 4-shard run of
+//!    the same workload write *identical* files.  By default a snapshot is
+//!    due once the WAL written since the last one reaches `max(256 KiB,
+//!    size of the last snapshot)`, so each logged byte is written about
+//!    once more as snapshot and recovery replays at most one snapshot's
+//!    worth of log plus one batch; an explicit
+//!    `StoreConfig::snapshot_wal_bytes` fixes the threshold instead.
+//!    Snapshots are written to a temp file and atomically renamed, the
+//!    directory is fsynced, and only then is the WAL truncated.
 //! 3. **Cold-table spill** ([`snapshot::write_spill`]).  With a row budget
 //!    configured, the largest tables are evicted to their snapshot form
 //!    when the budget is exceeded and transparently faulted back in when
@@ -30,12 +35,13 @@
 //! ## Recovery invariants
 //!
 //! Opening a data directory ([`DiskBackend::open`]) loads the latest valid
-//! snapshot, replays committed WAL batches newer than the snapshot's
-//! watermark (the `seq` filter makes replay idempotent when a crash landed
-//! between snapshot rename and log truncation), and stops cleanly at the
-//! first torn or invalid record — a short frame, checksum mismatch,
-//! undecodable payload, or trailing operations without a commit are all
-//! treated as the crash tail, never a panic.  Because the journal records
+//! snapshot, then streams committed WAL batches newer than the snapshot's
+//! watermark one at a time (the `seq` filter makes replay idempotent when a
+//! crash landed between snapshot rename and log truncation), and stops
+//! cleanly at the first torn or invalid record — a short frame, a length
+//! running past the end of the file, checksum mismatch, undecodable
+//! payload, or trailing operations without a commit are all treated as the
+//! crash tail, never a panic.  Because the journal records
 //! logical intents and replay drives them through the identical table
 //! code, the recovered tables are **byte-identical** to the state at the
 //! last committed barrier: same rows, same duplicate counts, same keyed-
@@ -66,7 +72,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use backend::{
-    DiskBackend, MemoryBackend, RecoveredState, StorageBackend, StorageStats, StoreConfig,
+    DiskBackend, MemoryBackend, Recovery, StorageBackend, StorageStats, StoreConfig,
 };
 pub use codec::CodecError;
 pub use snapshot::{AggProvEntry, SnapshotData, TableDump};

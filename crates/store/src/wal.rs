@@ -25,12 +25,12 @@
 //!
 //! The engine buffers operations per barrier window and appends them as one
 //! batch closed by a commit record.  Replay applies only batches closed by
-//! a commit; a crash mid-write leaves a torn tail that [`read_wal`] detects
-//! (short record, checksum mismatch, undecodable payload, or trailing
-//! operations with no commit) and cleanly ignores.  Reopening truncates the
-//! file back to the last committed byte.  The [`Durability`] knob decides
-//! when `fsync` runs: never, once per committed batch (default), or after
-//! every record.
+//! a commit; a crash mid-write leaves a torn tail that [`WalReader`] detects
+//! (short record, a length running past the end of the file, checksum
+//! mismatch, undecodable payload, or trailing operations with no commit) and
+//! cleanly ignores.  Reopening truncates the file back to the last committed
+//! byte.  The [`Durability`] knob decides when `fsync` runs: never, once per
+//! committed batch (default), or after every record.
 
 use crate::codec::{self, CodecError, Reader};
 use crate::crc32::crc32;
@@ -38,7 +38,7 @@ use exspan_types::symbol::RelId;
 use exspan_types::tuple::Tuple;
 use exspan_types::value::Value;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -235,23 +235,37 @@ fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
     Ok(record)
 }
 
-fn frame(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
+/// Appends an 8-byte placeholder for a record header and returns where the
+/// record starts; [`end_frame`] backpatches it once the payload is in place.
+fn begin_frame(buf: &mut Vec<u8>) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    start
+}
+
+/// Fills in the length and CRC of the record opened at `start`, whose payload
+/// runs to the end of `buf`.
+fn end_frame(buf: &mut [u8], start: usize) {
+    let (header, payload) = buf[start..].split_at_mut(8);
+    let len = u32::try_from(payload.len()).expect("a WAL record is under 4 GiB");
+    header[..4].copy_from_slice(&len.to_be_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
 }
 
 /// Appends committed batches to the log file.
 pub struct WalWriter {
     file: File,
     durability: Durability,
+    /// Frame buffer reused across batches: each op is encoded straight into
+    /// it behind a placeholder header, which is backpatched in place.
+    buf: Vec<u8>,
     /// Bytes in the file (all of them committed/framed).
     pub len: u64,
 }
 
 impl WalWriter {
     /// Opens (creating if absent) the log at `path`, truncating it to
-    /// `valid_len` — the committed prefix a prior [`read_wal`] validated —
+    /// `valid_len` — the committed prefix a prior [`WalReader`] validated —
     /// so a torn tail from a crashed write is physically discarded.
     pub fn open(path: &Path, valid_len: u64, durability: Durability) -> io::Result<Self> {
         let mut file = OpenOptions::new()
@@ -265,39 +279,43 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             durability,
+            buf: Vec::new(),
             len: valid_len,
         })
     }
 
     /// Appends `ops` as one batch closed by a commit record carrying
     /// `(seq, time_bits)`, honoring the durability policy.  Returns the
-    /// number of bytes appended.
+    /// log's new length in bytes.
     pub fn append_batch(&mut self, ops: &[WalOp], seq: u64, time_bits: u64) -> io::Result<u64> {
-        let mut frames = Vec::new();
-        let mut payload = Vec::new();
+        self.buf.clear();
         for op in ops {
-            payload.clear();
-            encode_op(op, &mut payload);
-            frame(&payload, &mut frames);
+            let start = begin_frame(&mut self.buf);
+            encode_op(op, &mut self.buf);
+            end_frame(&mut self.buf, start);
             if self.durability == Durability::Always {
-                self.file.write_all(&frames)?;
+                self.write_buf()?;
                 self.file.sync_data()?;
-                self.len += frames.len() as u64;
-                frames.clear();
             }
         }
-        payload.clear();
-        payload.push(TAG_COMMIT);
-        payload.extend_from_slice(&seq.to_be_bytes());
-        payload.extend_from_slice(&time_bits.to_be_bytes());
-        frame(&payload, &mut frames);
-        self.file.write_all(&frames)?;
-        self.len += frames.len() as u64;
+        let start = begin_frame(&mut self.buf);
+        self.buf.push(TAG_COMMIT);
+        self.buf.extend_from_slice(&seq.to_be_bytes());
+        self.buf.extend_from_slice(&time_bits.to_be_bytes());
+        end_frame(&mut self.buf, start);
+        self.write_buf()?;
         match self.durability {
             Durability::None => {}
             Durability::Barrier | Durability::Always => self.file.sync_data()?,
         }
         Ok(self.len)
+    }
+
+    fn write_buf(&mut self) -> io::Result<()> {
+        self.file.write_all(&self.buf)?;
+        self.len += self.buf.len() as u64;
+        self.buf.clear();
+        Ok(())
     }
 
     /// Truncates the log to empty (after a snapshot established a new
@@ -313,50 +331,114 @@ impl WalWriter {
     }
 }
 
-/// Reads every *committed* batch from the log, stopping cleanly at the
-/// first torn or invalid record.  Returns the batches and the byte length
-/// of the valid committed prefix (pass it to [`WalWriter::open`]).
+/// Streams the *committed* batches of a log, reading one record at a time,
+/// so recovery holds at most one batch in memory however long the log is.
 ///
-/// Never panics on corrupt input: a short frame, checksum mismatch,
-/// undecodable payload, or a trailing run of operations with no commit
-/// record are all treated as the crash tail and dropped.
-pub fn read_wal(path: &Path) -> io::Result<(Vec<WalBatch>, u64)> {
-    let data = match std::fs::read(path) {
-        Ok(data) => data,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(e),
-    };
-    let mut batches = Vec::new();
-    let mut pending: Vec<WalOp> = Vec::new();
-    let mut pos = 0usize;
-    let mut valid = 0u64;
-    while data.len() - pos >= 8 {
-        let len =
-            u32::from_be_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]) as usize;
-        let crc = u32::from_be_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-        let body_start = pos + 8;
-        let Some(body_end) = body_start.checked_add(len).filter(|&e| e <= data.len()) else {
-            break;
-        };
-        let payload = &data[body_start..body_end];
-        if crc32(payload) != crc {
-            break;
-        }
-        match decode_record(payload) {
-            Ok(Record::Op(op)) => pending.push(op),
-            Ok(Record::Commit { seq, time_bits }) => {
-                batches.push(WalBatch {
-                    seq,
-                    time_bits,
-                    ops: std::mem::take(&mut pending),
-                });
-                valid = body_end as u64;
+/// Stops cleanly at the first torn or invalid record and never panics on
+/// corrupt input: a short frame, a length prefix that runs past the end of
+/// the file (checked before anything is allocated for it), a checksum
+/// mismatch, an undecodable payload, or a trailing run of operations with
+/// no commit record are all treated as the crash tail and dropped.
+pub struct WalReader {
+    /// `None` once the valid prefix has ended (or the file does not exist).
+    input: Option<BufReader<File>>,
+    /// Bytes of the file not yet read.
+    remaining: u64,
+    /// Bytes of the file read so far.
+    pos: u64,
+    /// End of the last commit record read.
+    valid: u64,
+    /// Payload buffer reused across records.
+    payload: Vec<u8>,
+}
+
+impl WalReader {
+    /// Opens the log at `path`; a missing file reads as an empty log.
+    pub fn open(path: &Path) -> io::Result<Self> {
+        let (input, remaining) = match File::open(path) {
+            Ok(file) => {
+                let len = file.metadata()?.len();
+                (Some(BufReader::with_capacity(1 << 16, file)), len)
             }
-            Err(_) => break,
-        }
-        pos = body_end;
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (None, 0),
+            Err(e) => return Err(e),
+        };
+        Ok(WalReader {
+            input,
+            remaining,
+            pos: 0,
+            valid: 0,
+            payload: Vec::new(),
+        })
     }
-    Ok((batches, valid))
+
+    /// The next committed batch, or `None` once the valid prefix is
+    /// exhausted.
+    pub fn next_batch(&mut self) -> io::Result<Option<WalBatch>> {
+        let mut ops = Vec::new();
+        while let Some(record) = self.next_record()? {
+            match record {
+                Record::Op(op) => ops.push(op),
+                Record::Commit { seq, time_bits } => {
+                    self.valid = self.pos;
+                    return Ok(Some(WalBatch {
+                        seq,
+                        time_bits,
+                        ops,
+                    }));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The byte length of the valid committed prefix read so far; once
+    /// [`WalReader::next_batch`] has returned `None`, the length to pass to
+    /// [`WalWriter::open`].
+    pub fn valid_len(&self) -> u64 {
+        self.valid
+    }
+
+    /// Reads and decodes one record; `None` (and the reader is finished) at
+    /// the end of the file or at the first torn or invalid record.
+    fn next_record(&mut self) -> io::Result<Option<Record>> {
+        let Some(input) = self.input.as_mut() else {
+            return Ok(None);
+        };
+        let mut record = None;
+        if self.remaining >= 8 {
+            let mut header = [0u8; 8];
+            input.read_exact(&mut header)?;
+            let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
+            let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+            let frame = 8 + u64::from(len);
+            if frame <= self.remaining {
+                self.payload.clear();
+                self.payload.resize(len as usize, 0);
+                input.read_exact(&mut self.payload)?;
+                self.remaining -= frame;
+                self.pos += frame;
+                if crc32(&self.payload) == crc {
+                    record = decode_record(&self.payload).ok();
+                }
+            }
+        }
+        if record.is_none() {
+            self.input = None;
+        }
+        Ok(record)
+    }
+}
+
+/// Reads every committed batch at once: a collector over [`WalReader`].
+/// Returns the batches and the byte length of the valid committed prefix.
+pub fn read_wal(path: &Path) -> io::Result<(Vec<WalBatch>, u64)> {
+    let mut reader = WalReader::open(path)?;
+    let mut batches = Vec::new();
+    while let Some(batch) = reader.next_batch()? {
+        batches.push(batch);
+    }
+    Ok((batches, reader.valid_len()))
 }
 
 #[cfg(test)]

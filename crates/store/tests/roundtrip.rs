@@ -6,9 +6,13 @@
 //! * Arbitrary committed WAL batches survive a write/read round trip.
 //! * Cutting the log at *any* byte offset — the torn-tail corpus — never
 //!   panics and never yields anything beyond the committed prefix.
+//! * On that corpus and on logs with garbage appended or bits flipped, the
+//!   streaming [`WalReader`] yields exactly the batches and the valid length
+//!   of the whole-file reader it replaced, kept below as the oracle.
 
 use exspan_store::codec::{decode_tuple, decode_value, encode_tuple, encode_value, Reader};
-use exspan_store::wal::{read_wal, Durability, WalOp, WalWriter};
+use exspan_store::crc32::crc32;
+use exspan_store::wal::{read_wal, Durability, WalOp, WalReader, WalWriter};
 use exspan_types::tuple::Tuple;
 use exspan_types::value::Value;
 use proptest::collection;
@@ -184,4 +188,182 @@ proptest! {
             assert_tuple_ops_equal(&b.ops, &batches[i]);
         }
     }
+}
+
+/// A committed batch as the oracle sees it: `(seq, time bits, ops)`, with
+/// each tuple op as `(node, insert, tuple)`.
+type OracleBatch = (u64, u64, Vec<(u32, bool, Tuple)>);
+
+/// The whole-file WAL reader the streaming reader replaced: read the file,
+/// walk its frames, decode every record, and keep the batches closed by a
+/// commit.  The decoder covers the records of this corpus (tuple ops and
+/// commits); any other tag counts as undecodable.
+fn oracle_read_wal(data: &[u8]) -> (Vec<OracleBatch>, u64) {
+    let mut batches = Vec::new();
+    let mut pending = Vec::new();
+    let mut pos = 0usize;
+    let mut valid = 0u64;
+    while data.len() - pos >= 8 {
+        let len =
+            u32::from_be_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]) as usize;
+        let crc = u32::from_be_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
+        let body_start = pos + 8;
+        let Some(body_end) = body_start.checked_add(len).filter(|&e| e <= data.len()) else {
+            break;
+        };
+        let payload = &data[body_start..body_end];
+        if crc32(payload) != crc {
+            break;
+        }
+        let mut r = Reader::new(payload);
+        let decoded = (|| match r.u8().ok()? {
+            0x01 => {
+                let insert = r.u8().ok()? != 0;
+                let node = r.u32().ok()?;
+                let tuple = decode_tuple(&mut r).ok()?;
+                Some(Ok((node, insert, tuple)))
+            }
+            0x10 => Some(Err((r.u64().ok()?, r.u64().ok()?))),
+            _ => None,
+        })();
+        match decoded.filter(|_| r.is_empty()) {
+            Some(Ok(op)) => pending.push(op),
+            Some(Err((seq, time_bits))) => {
+                batches.push((seq, time_bits, std::mem::take(&mut pending)));
+                valid = body_end as u64;
+            }
+            None => break,
+        }
+        pos = body_end;
+    }
+    (batches, valid)
+}
+
+/// What the streaming reader yields, in the oracle's shape.
+fn stream_read_wal(path: &std::path::Path) -> (Vec<OracleBatch>, u64) {
+    let mut reader = WalReader::open(path).unwrap();
+    let mut batches = Vec::new();
+    while let Some(batch) = reader.next_batch().unwrap() {
+        let ops = batch
+            .ops
+            .iter()
+            .map(|op| match op {
+                WalOp::Tuple {
+                    node,
+                    insert,
+                    tuple,
+                } => (*node, *insert, (**tuple).clone()),
+                _ => panic!("non-tuple op in tuple-only corpus"),
+            })
+            .collect();
+        batches.push((batch.seq, batch.time_bits, ops));
+    }
+    (batches, reader.valid_len())
+}
+
+/// How a log is damaged before it is read back.
+#[derive(Debug, Clone)]
+enum Damage {
+    Cut(u32),
+    AppendGarbage(Vec<u8>),
+    FlipBit(u32, u8),
+}
+
+fn damage_strategy() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (0u32..1000).prop_map(Damage::Cut),
+        collection::vec(any::<u8>(), 1..40).prop_map(Damage::AppendGarbage),
+        (0u32..1000, 0u8..8).prop_map(|(at, bit)| Damage::FlipBit(at, bit)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn streaming_reader_matches_the_whole_file_reader(
+        batches in batch_strategy(),
+        damage in damage_strategy(),
+        case: u64,
+    ) {
+        let path = wal_path("oracle", case);
+        {
+            let mut w = WalWriter::open(&path, 0, Durability::None).unwrap();
+            for (i, ops) in batches.iter().enumerate() {
+                w.append_batch(ops, i as u64 + 1, (i as f64).to_bits()).unwrap();
+            }
+        }
+        let mut data = std::fs::read(&path).unwrap();
+        match &damage {
+            Damage::Cut(frac) => data.truncate(data.len() * *frac as usize / 1000),
+            Damage::AppendGarbage(bytes) => data.extend_from_slice(bytes),
+            Damage::FlipBit(frac, bit) => {
+                let at = data.len() * *frac as usize / 1000;
+                data[at] ^= 1 << bit;
+            }
+        }
+        std::fs::write(&path, &data).unwrap();
+        let expected = oracle_read_wal(&data);
+        prop_assert_eq!(stream_read_wal(&path), expected.clone());
+        // `read_wal` is a collector over the streaming reader.
+        let (collected, valid) = read_wal(&path).unwrap();
+        prop_assert_eq!(valid, expected.1);
+        prop_assert_eq!(collected.len(), expected.0.len());
+    }
+}
+
+#[test]
+fn an_oversized_length_prefix_ends_recovery_cleanly() {
+    let path = wal_path("oversized", 0);
+    {
+        let mut w = WalWriter::open(&path, 0, Durability::None).unwrap();
+        let op = WalOp::Tuple {
+            node: 1,
+            insert: true,
+            tuple: Arc::new(Tuple::new("link", 1, vec![Value::Node(2), Value::Int(3)])),
+        };
+        w.append_batch(&[op], 1, 1.0f64.to_bits()).unwrap();
+    }
+    let committed = std::fs::metadata(&path).unwrap().len();
+    let mut data = std::fs::read(&path).unwrap();
+    // A frame claiming 4 GiB of payload, followed by a few bytes: a torn
+    // tail, which must neither allocate for the claim nor fail.
+    data.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1, 2, 3]);
+    std::fs::write(&path, &data).unwrap();
+    let (batches, valid) = stream_read_wal(&path);
+    assert_eq!(batches.len(), 1);
+    assert_eq!(valid, committed);
+    assert_eq!(oracle_read_wal(&data), (batches, valid));
+    // The same header alone, with nothing after it.
+    std::fs::write(&path, [0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0]).unwrap();
+    assert_eq!(stream_read_wal(&path), (Vec::new(), 0));
+}
+
+/// A store written by an earlier build (see `crates/core/tests/persistence.rs`
+/// for the workload): the format has not changed, so reading it back and
+/// writing it again reproduces both files byte for byte.
+#[test]
+fn a_store_from_an_earlier_build_rewrites_to_identical_bytes() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("mincost-ring6");
+    let dir = wal_path("fixture", 0).parent().unwrap().to_path_buf();
+
+    let snapshot = exspan_store::snapshot::load_snapshot(&fixture.join("snapshot.bin")).unwrap();
+    let len = exspan_store::snapshot::write_snapshot(&dir.join("snapshot.bin"), &snapshot).unwrap();
+    let expected = std::fs::read(fixture.join("snapshot.bin")).unwrap();
+    assert_eq!(len, expected.len() as u64);
+    assert!(std::fs::read(dir.join("snapshot.bin")).unwrap() == expected);
+
+    let (batches, valid) = read_wal(&fixture.join("wal.log")).unwrap();
+    let expected = std::fs::read(fixture.join("wal.log")).unwrap();
+    assert_eq!(batches.len(), 2);
+    assert_eq!(valid, expected.len() as u64);
+    let mut w = WalWriter::open(&dir.join("wal.log"), 0, Durability::None).unwrap();
+    for b in &batches {
+        w.append_batch(&b.ops, b.seq, b.time_bits).unwrap();
+    }
+    drop(w);
+    assert!(std::fs::read(dir.join("wal.log")).unwrap() == expected);
 }
